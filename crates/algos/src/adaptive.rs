@@ -1,47 +1,21 @@
-//! Adaptive degradation controller, simulator path.
+//! Adaptive degradation controller, simulator path: the
+//! [`SegmentedRun`] impl that [`run_controlled`] drives.
 //!
-//! Runs a *probe* segment of the configured run, distills [`CtrlSignals`]
-//! from the probe's phase breakdowns (virtual time, so the whole decision
-//! is exactly deterministic), asks the shared [`DegradePolicy`] for a
-//! verdict, stamps a `ctrl.switch` marker, and runs the *remainder* with
-//! the degraded configuration and the probe's trained parameters adopted
-//! as the starting weights.
-//!
-//! Degradations applied here:
-//! - `SwitchToSsp` — BSP only: the remainder runs `Algo::Ssp` at the
-//!   policy's staleness. Other algorithms keep their strategy (the
-//!   barrier is the thing a straggler poisons).
-//! - `EnableDgc` — gradient-pushing algorithms only (BSP/ASP/SSP/AR-SGD):
-//!   the remainder runs with `opts.dgc = Some(default)`.
-//!
-//! Each segment restarts its LR schedule over its own epoch span; the
-//! carried state is the model, exactly as a stop-and-restart with adopted
-//! weights would behave.
+//! Signals come from the probe's phase breakdowns in virtual time, so the
+//! whole decision is exactly deterministic. `EnableDgc` bites here: the
+//! remainder of a gradient-pushing run gets `opts.dgc = Some(default)`.
+//! The probe's trained parameters become the remainder's starting weights.
+
+use std::convert::Infallible;
 
 use dtrain_compress::DgcConfig;
-use dtrain_faults::{markers, straggle_ratio, CtrlAction, CtrlPlan, CtrlSignals};
-use dtrain_obs::{ObsSink, Phase, Track};
+use dtrain_faults::{
+    run_controlled, straggle_ratio, AdaptiveReport, CtrlPlan, CtrlSignals, SegmentedRun,
+};
+use dtrain_obs::{ObsSink, Phase};
 
 use crate::config::{Algo, RunConfig, StopCondition};
 use crate::runner::{run_observed, RunOutput};
-
-/// Outcome of an adaptive simulated run.
-#[derive(Clone, Debug)]
-pub struct AdaptiveRunOutput {
-    /// Probe first, remainder second (single entry when the controller is
-    /// disabled or the probe covers the whole run).
-    pub segments: Vec<RunOutput>,
-    /// Signals read at the segment boundary.
-    pub signals: CtrlSignals,
-    /// The policy's verdict at the boundary.
-    pub action: CtrlAction,
-}
-
-impl AdaptiveRunOutput {
-    pub fn final_accuracy(&self) -> Option<f32> {
-        self.segments.last().and_then(|s| s.final_accuracy)
-    }
-}
 
 /// Distill controller signals from a finished simulated segment.
 pub(crate) fn sim_signals(out: &RunOutput) -> CtrlSignals {
@@ -56,66 +30,66 @@ pub(crate) fn sim_signals(out: &RunOutput) -> CtrlSignals {
         comm_fraction: b.fraction(Phase::Comm)
             + b.fraction(Phase::GlobalAgg)
             + b.fraction(Phase::LocalAgg),
-        staleness: 0.0,
         retry_rate: 0.0,
     }
 }
 
-/// [`run_observed`](crate::runner::run_observed) under the adaptive
-/// degradation controller. Requires an epoch stop condition; the probe
-/// takes `ctrl.probe_epochs` of it.
-pub fn run_adaptive(cfg: &RunConfig, ctrl: &CtrlPlan, sink: &ObsSink) -> AdaptiveRunOutput {
+struct SimRun<'a> {
+    cfg: RunConfig,
+    epochs: u64,
+    sink: &'a ObsSink,
+}
+
+impl SegmentedRun for SimRun<'_> {
+    type Report = RunOutput;
+    type Error = Infallible;
+
+    fn epochs(&self) -> u64 {
+        self.epochs
+    }
+
+    fn algo(&self) -> Algo {
+        self.cfg.algo
+    }
+
+    fn run(&mut self, epochs: u64) -> Result<RunOutput, Infallible> {
+        self.cfg.stop = StopCondition::Epochs(epochs);
+        Ok(run_observed(&self.cfg, self.sink))
+    }
+
+    fn signals(&self, segment: &RunOutput) -> CtrlSignals {
+        sim_signals(segment)
+    }
+
+    fn switch_ns(&self, probe: &RunOutput) -> u64 {
+        probe.end_time.0
+    }
+
+    fn adopt(&mut self, probe: &RunOutput, algo: Algo, dgc: bool) {
+        self.cfg.algo = algo;
+        if dgc && self.cfg.opts.dgc.is_none() {
+            self.cfg.opts.dgc = Some(DgcConfig::default());
+        }
+        if let (Some(real), Some(params)) = (self.cfg.real.as_mut(), probe.final_params.clone()) {
+            real.initial_params = Some(params);
+        }
+    }
+}
+
+/// [`run_observed`] under the adaptive degradation controller. Requires
+/// an epoch stop condition; the probe takes `ctrl.probe_epochs` of it.
+pub fn run_adaptive(cfg: &RunConfig, ctrl: &CtrlPlan, sink: &ObsSink) -> AdaptiveReport<RunOutput> {
     let epochs = match cfg.stop {
         StopCondition::Epochs(e) => e,
         StopCondition::Iterations(_) => {
             panic!("run_adaptive requires StopCondition::Epochs")
         }
     };
-    if !ctrl.enabled || ctrl.probe_epochs >= epochs {
-        let out = run_observed(cfg, sink);
-        return AdaptiveRunOutput {
-            segments: vec![out],
-            signals: CtrlSignals::default(),
-            action: CtrlAction::Stay,
-        };
-    }
-
-    let mut probe_cfg = cfg.clone();
-    probe_cfg.stop = StopCondition::Epochs(ctrl.probe_epochs);
-    let probe = run_observed(&probe_cfg, sink);
-
-    let signals = sim_signals(&probe);
-    let action = ctrl.policy.decide(&signals);
-    // Virtual timestamp: the probe's own end time, so the marker (and the
-    // whole trace) is bit-reproducible run over run.
-    markers::ctrl_switch(
-        &sink.track(Track::Runtime(0)),
-        probe.end_time.0,
-        action.code(),
-    );
-
-    let mut rest_cfg = cfg.clone();
-    rest_cfg.stop = StopCondition::Epochs(epochs - ctrl.probe_epochs);
-    match action {
-        CtrlAction::SwitchToSsp { staleness } => {
-            if matches!(cfg.algo, Algo::Bsp) {
-                rest_cfg.algo = Algo::Ssp { staleness };
-            }
-        }
-        CtrlAction::EnableDgc => {
-            if cfg.algo.communicates_gradients() && rest_cfg.opts.dgc.is_none() {
-                rest_cfg.opts.dgc = Some(DgcConfig::default());
-            }
-        }
-        CtrlAction::Stay => {}
-    }
-    if let (Some(real), Some(params)) = (rest_cfg.real.as_mut(), probe.final_params.clone()) {
-        real.initial_params = Some(params);
-    }
-    let rest = run_observed(&rest_cfg, sink);
-    AdaptiveRunOutput {
-        segments: vec![probe, rest],
-        signals,
-        action,
-    }
+    let mut run = SimRun {
+        cfg: cfg.clone(),
+        epochs,
+        sink,
+    };
+    let Ok(report) = run_controlled(&mut run, ctrl, sink);
+    report
 }

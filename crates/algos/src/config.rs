@@ -3,61 +3,9 @@
 use dtrain_cluster::{ClusterConfig, CollectiveSchedule};
 use dtrain_compress::DgcConfig;
 use dtrain_data::{Dataset, ImageTaskConfig, TeacherTaskConfig};
+pub use dtrain_faults::Algo;
 use dtrain_faults::{ElasticConfig, FaultKind, FaultSchedule};
 use dtrain_models::ModelProfile;
-
-/// The seven algorithms of the paper (Table I), with their hyperparameters.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Algo {
-    /// Bulk Synchronous Parallel (centralized, synchronous).
-    Bsp,
-    /// Asynchronous Parallel (centralized, asynchronous).
-    Asp,
-    /// Stale Synchronous Parallel with staleness threshold `s`.
-    Ssp { staleness: u64 },
-    /// Elastic Averaging SGD with communication period `tau` and moving
-    /// rate `alpha` (the paper's recommended α = 0.9/N when `None`).
-    Easgd { tau: u64, alpha: Option<f32> },
-    /// AllReduce SGD (decentralized, synchronous; ring collective).
-    ArSgd,
-    /// Gossip SGD with exchange probability `p`.
-    GoSgd { p: f64 },
-    /// Asynchronous Decentralized Parallel SGD (bipartite pairing).
-    AdPsgd,
-}
-
-impl Algo {
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algo::Bsp => "BSP",
-            Algo::Asp => "ASP",
-            Algo::Ssp { .. } => "SSP",
-            Algo::Easgd { .. } => "EASGD",
-            Algo::ArSgd => "AR-SGD",
-            Algo::GoSgd { .. } => "GoSGD",
-            Algo::AdPsgd => "AD-PSGD",
-        }
-    }
-
-    /// Centralized algorithms use parameter servers.
-    pub fn is_centralized(&self) -> bool {
-        matches!(
-            self,
-            Algo::Bsp | Algo::Asp | Algo::Ssp { .. } | Algo::Easgd { .. }
-        )
-    }
-
-    /// Synchronous algorithms keep replicas identical every iteration.
-    pub fn is_synchronous(&self) -> bool {
-        matches!(self, Algo::Bsp | Algo::ArSgd)
-    }
-
-    /// Algorithms that communicate gradients (vs. parameters); only these
-    /// admit wait-free BP and DGC (paper §V-B/C).
-    pub fn communicates_gradients(&self) -> bool {
-        matches!(self, Algo::Bsp | Algo::Asp | Algo::Ssp { .. } | Algo::ArSgd)
-    }
-}
 
 /// The three optimization techniques (paper §V), plus BSP local aggregation.
 #[derive(Clone, Debug)]

@@ -29,7 +29,7 @@ mod decentralized;
 mod exec;
 mod runner;
 
-pub use adaptive::{run_adaptive, AdaptiveRunOutput};
+pub use adaptive::run_adaptive;
 pub use centralized::{
     elastic_update, handle_crash, merge_grad, ps_apply_time, Addr, BspRole, PsCore, PsFaultState,
     PsMode, PsRealState, PS_OWNER_BASE,

@@ -250,7 +250,7 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
                     num_workers: cfg.workers,
                 },
                 Algo::Easgd { alpha, .. } => PsMode::Easgd {
-                    alpha: alpha.unwrap_or(0.9 / cfg.workers as f32),
+                    alpha: Algo::easgd_alpha(alpha, cfg.workers),
                 },
                 _ => unreachable!(),
             };

@@ -95,9 +95,9 @@ fn straggler_trips_bsp_to_ssp_with_golden_trace() {
     assert_eq!(out.segments[0].algo, "BSP");
     assert_eq!(out.segments[1].algo, "SSP");
     assert!(
-        out.final_accuracy().expect("accuracy") > 0.3,
+        out.last().final_accuracy.expect("accuracy") > 0.3,
         "degraded run still learns: {:?}",
-        out.final_accuracy()
+        out.last().final_accuracy
     );
 
     let events = sink.snapshot();
@@ -160,7 +160,7 @@ fn wan_squeeze_trips_dgc_and_reruns_identically() {
 
     let (b, tb) = record();
     assert_eq!(ta, tb, "identical adaptive runs produced different traces");
-    assert_eq!(a.final_accuracy(), b.final_accuracy());
+    assert_eq!(a.last().final_accuracy, b.last().final_accuracy);
     assert_eq!(a.segments[1].end_time, b.segments[1].end_time);
 }
 

@@ -143,7 +143,7 @@ fn run_cell(algo: Algo, scenario: &str, epochs: u64, probe: Option<u64>) -> Cell
             let out = run_adaptive(&cfg, &ctrl(probe_epochs), &ObsSink::disabled());
             Cell {
                 end_secs: out.segments.iter().map(|s| s.end_time.as_secs_f64()).sum(),
-                accuracy: out.final_accuracy().unwrap_or(0.0),
+                accuracy: out.last().final_accuracy.unwrap_or(0.0),
                 inter_bytes: out.segments.iter().map(|s| s.traffic.inter_bytes).sum(),
                 action: out.action,
             }

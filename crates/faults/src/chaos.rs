@@ -11,13 +11,16 @@
 //! bit-corrupts, duplicates, and delays frames — the self-healing transport
 //! (CRC + sequence numbers + reconnect-with-resume) must absorb all of it.
 //! The [`DegradePolicy`] closes the loop: it reads live signals (straggle
-//! ratio, comm fraction, staleness, retry rate) and decides whether a run
+//! ratio, comm fraction, retry rate) and decides whether a run
 //! should degrade gracefully (BSP→SSP, DGC on) instead of grinding.
 
 use dtrain_desim::SimTime;
+use dtrain_obs::{ObsSink, Track};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::algo::Algo;
+use crate::markers;
 use crate::schedule::{FaultEvent, FaultKind, FaultSchedule};
 
 /// Shared shape of every sim-path trace generator.
@@ -293,8 +296,6 @@ pub struct CtrlSignals {
     pub straggle_ratio: f64,
     /// Communication share of the end-to-end step time, in `[0, 1]`.
     pub comm_fraction: f64,
-    /// Mean observed SSP staleness (0 for synchronous segments).
-    pub staleness: f64,
     /// Transport retries per iteration (proc session layer).
     pub retry_rate: f64,
 }
@@ -351,9 +352,8 @@ impl Default for DegradePolicy {
 /// Controller attachment for a run: segment the run into a probe window
 /// and a remainder, read [`CtrlSignals`] at the boundary, and apply the
 /// [`DegradePolicy`]'s verdict to the remainder (parameters adopted across
-/// the switch). Each execution path has its own driver
-/// (`run_adaptive` / `train_adaptive` / `train_proc_adaptive`); the plan
-/// and the policy table are shared so the three paths trip identically.
+/// the switch). One function, [`run_controlled`], runs every execution path
+/// through a [`SegmentedRun`] impl, so the three paths trip identically.
 #[derive(Clone, Copy, Debug)]
 pub struct CtrlPlan {
     pub enabled: bool,
@@ -402,6 +402,118 @@ impl DegradePolicy {
         }
         CtrlAction::Stay
     }
+}
+
+/// Controller signals from per-worker busy seconds, the segment's wall
+/// time, and the transport retries over its iterations. Whatever a worker
+/// is not busy with is coordination: barrier waits, server round-trips,
+/// exchange stalls, reconnect backoff.
+pub fn busy_signals(
+    busy_secs: &[f64],
+    wall_secs: f64,
+    retries: u64,
+    iterations: u64,
+) -> CtrlSignals {
+    let mean_busy = if busy_secs.is_empty() {
+        0.0
+    } else {
+        busy_secs.iter().sum::<f64>() / busy_secs.len() as f64
+    };
+    CtrlSignals {
+        straggle_ratio: straggle_ratio(busy_secs),
+        comm_fraction: if wall_secs > 0.0 {
+            (1.0 - mean_busy / wall_secs).clamp(0.0, 1.0)
+        } else {
+            0.0
+        },
+        retry_rate: if iterations > 0 {
+            retries as f64 / iterations as f64
+        } else {
+            0.0
+        },
+    }
+}
+
+/// One execution path as [`run_controlled`] sees it: a configured run that
+/// executes in epoch segments and is reconfigured between them.
+pub trait SegmentedRun {
+    /// A finished segment's report.
+    type Report;
+    type Error;
+    /// Epochs of the whole configured run.
+    fn epochs(&self) -> u64;
+    /// The algorithm the run is configured with.
+    fn algo(&self) -> Algo;
+    /// Run `epochs` epochs of the current configuration.
+    fn run(&mut self, epochs: u64) -> Result<Self::Report, Self::Error>;
+    /// Controller signals distilled from a finished segment.
+    fn signals(&self, segment: &Self::Report) -> CtrlSignals;
+    /// Timestamp of the `ctrl.switch` marker after `probe`: virtual time on
+    /// the simulator (so the trace is bit-reproducible), wall time on the
+    /// real paths.
+    fn switch_ns(&self, probe: &Self::Report) -> u64;
+    /// Configure the remainder: run `algo`, turn DGC on when `dgc` (on the
+    /// paths that model it), and start from `probe`'s trained parameters.
+    fn adopt(&mut self, probe: &Self::Report, algo: Algo, dgc: bool);
+}
+
+/// Outcome of a run under the degradation controller.
+#[derive(Clone, Debug)]
+pub struct AdaptiveReport<R> {
+    /// Probe first, remainder second (single entry when the controller is
+    /// disabled or the probe covers the whole run).
+    pub segments: Vec<R>,
+    /// Signals read at the segment boundary.
+    pub signals: CtrlSignals,
+    /// The policy's verdict at the boundary.
+    pub action: CtrlAction,
+}
+
+impl<R> AdaptiveReport<R> {
+    /// The final segment, which holds the trained model.
+    pub fn last(&self) -> &R {
+        self.segments
+            .last()
+            .expect("a controlled run has at least one segment")
+    }
+}
+
+/// Run `run` under the degradation controller: a probe of
+/// `ctrl.probe_epochs`, the policy's verdict on its signals, a
+/// `ctrl.switch` marker on `Runtime(0)`, then the remainder under the
+/// degraded configuration ([`Algo::degrade`]) with the probe's parameters
+/// adopted. Each segment restarts its LR schedule over its own epoch span.
+/// A disabled controller, or a probe covering the whole run, runs once
+/// unchanged and emits no marker.
+pub fn run_controlled<S: SegmentedRun>(
+    run: &mut S,
+    ctrl: &CtrlPlan,
+    sink: &ObsSink,
+) -> Result<AdaptiveReport<S::Report>, S::Error> {
+    let epochs = run.epochs();
+    if !ctrl.enabled || ctrl.probe_epochs >= epochs {
+        return Ok(AdaptiveReport {
+            segments: vec![run.run(epochs)?],
+            signals: CtrlSignals::default(),
+            action: CtrlAction::Stay,
+        });
+    }
+    let probe = run.run(ctrl.probe_epochs)?;
+    let signals = run.signals(&probe);
+    let action = ctrl.policy.decide(&signals);
+    markers::ctrl_switch(
+        &sink.track(Track::Runtime(0)),
+        run.switch_ns(&probe),
+        action.code(),
+    );
+    let (algo, dgc) = run.algo().degrade(action);
+    run.adopt(&probe, algo, dgc);
+    let rest = run.run(epochs - ctrl.probe_epochs)?;
+    Ok(AdaptiveReport {
+        segments: vec![probe, rest],
+        signals,
+        action,
+    })
 }
 
 #[cfg(test)]
@@ -550,12 +662,25 @@ mod tests {
             straggle_ratio: 1.0,
             comm_fraction: 0.2,
             retry_rate: 2.0,
-            ..Default::default()
         };
         assert_eq!(p.decide(&retry_storm), CtrlAction::EnableDgc);
         assert_eq!(CtrlAction::Stay.code(), 0);
         assert_eq!(CtrlAction::SwitchToSsp { staleness: 3 }.code(), 1);
         assert_eq!(CtrlAction::EnableDgc.code(), 2);
+    }
+
+    #[test]
+    fn busy_signals_read_idle_share_and_retries() {
+        // Median busy 1 s, max 3 s; the mean rank is busy 5/3 s of 4 s.
+        let s = busy_signals(&[1.0, 3.0, 1.0], 4.0, 6, 12);
+        assert_eq!(s.straggle_ratio, 3.0);
+        assert!((s.comm_fraction - (1.0 - 5.0 / 12.0)).abs() < 1e-12);
+        assert_eq!(s.retry_rate, 0.5);
+        let empty = busy_signals(&[], 0.0, 3, 0);
+        assert_eq!(
+            (empty.straggle_ratio, empty.comm_fraction, empty.retry_rate),
+            (1.0, 0.0, 0.0)
+        );
     }
 
     #[test]

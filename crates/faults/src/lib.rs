@@ -1,16 +1,21 @@
 //! # dtrain-faults
 //!
-//! Deterministic fault injection for distributed-training experiments.
+//! Deterministic fault injection for distributed-training experiments,
+//! plus the degradation controller and the [`Algo`] enum it switches
+//! between, shared by every execution path.
 
+mod algo;
 pub mod chaos;
 mod checkpoint;
 pub mod markers;
 mod membership;
 mod schedule;
 
+pub use algo::Algo;
 pub use chaos::{
-    bursty_trace, jitter_trace, merge, straggle_ratio, wan_squeeze_trace, ChaosAction, ChaosSpec,
-    ChaosTraceCfg, CtrlAction, CtrlPlan, CtrlSignals, DegradePolicy,
+    bursty_trace, busy_signals, jitter_trace, merge, run_controlled, straggle_ratio,
+    wan_squeeze_trace, AdaptiveReport, ChaosAction, ChaosSpec, ChaosTraceCfg, CtrlAction, CtrlPlan,
+    CtrlSignals, DegradePolicy, SegmentedRun,
 };
 pub use checkpoint::{CheckpointStore, WorkerCheckpoint, MAX_VERSIONS};
 pub use membership::{is_connected, ElasticConfig, GangView, MemberState, MembershipView};

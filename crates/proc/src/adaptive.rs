@@ -1,10 +1,6 @@
-//! Adaptive degradation controller, process path.
-//!
-//! Same segmented shape as the threaded and simulator drivers: run a
-//! *probe* of `ctrl.probe_epochs`, distill [`CtrlSignals`] from the
-//! probe's report, ask the shared [`DegradePolicy`] for a verdict, stamp
-//! a `ctrl.switch` marker, and run the *remainder* as a second process
-//! cohort that adopts the probe's evaluated model through
+//! Adaptive degradation controller, process path: the [`SegmentedRun`]
+//! impl that [`run_controlled`] drives. Each segment is its own process
+//! cohort; the remainder adopts the probe's evaluated model through
 //! [`ProcConfig::initial_params`] (workers pick it up via the `HelloAck`
 //! snapshot they already apply — nothing new crosses the argv boundary).
 //!
@@ -16,108 +12,81 @@
 //! - `comm_fraction` — the share of wall time the mean rank spent *not*
 //!   busy: exchange waits, server round-trips, reconnect backoff.
 //!
-//! `SwitchToSsp` applies when the probe ran BSP; `EnableDgc` is recorded
-//! in the marker and report but does not change the proc wire format
-//! (the simulator is where DGC alters traffic).
+//! `EnableDgc` is recorded in the marker and report but does not change
+//! the proc wire format (the simulator is where DGC alters traffic).
 
 use std::time::{Duration, Instant};
 
-use dtrain_faults::{markers, straggle_ratio, CtrlAction, CtrlPlan, CtrlSignals};
-use dtrain_obs::{ObsSink, Track};
-use dtrain_runtime::Strategy;
+use dtrain_faults::{
+    busy_signals, run_controlled, AdaptiveReport, Algo, CtrlPlan, CtrlSignals, SegmentedRun,
+};
+use dtrain_obs::ObsSink;
 
 use crate::config::ProcConfig;
 use crate::coordinator::{train_proc_observed, ProcError, ProcReport};
 
-/// Outcome of an adaptive process-path run.
-#[derive(Clone, Debug)]
-pub struct AdaptiveProcReport {
-    /// Probe first, remainder second (single entry when the controller is
-    /// disabled or the probe covers the whole run).
-    pub segments: Vec<ProcReport>,
-    /// Signals read at the segment boundary.
-    pub signals: CtrlSignals,
-    /// The policy's verdict at the boundary.
-    pub action: CtrlAction,
+struct ProcSegments<'a> {
+    cfg: ProcConfig,
+    timeout: Duration,
+    sink: &'a ObsSink,
+    start: Instant,
 }
 
-impl AdaptiveProcReport {
-    pub fn final_accuracy(&self) -> f32 {
-        self.segments.last().map_or(0.0, |s| s.final_accuracy)
+impl SegmentedRun for ProcSegments<'_> {
+    type Report = ProcReport;
+    type Error = ProcError;
+
+    fn epochs(&self) -> u64 {
+        self.cfg.plan.epochs
+    }
+
+    fn algo(&self) -> Algo {
+        self.cfg.plan.strategy
+    }
+
+    fn run(&mut self, epochs: u64) -> Result<ProcReport, ProcError> {
+        let mut cfg = self.cfg.clone();
+        cfg.plan.epochs = epochs;
+        train_proc_observed(cfg, self.timeout, self.sink)
+    }
+
+    fn signals(&self, segment: &ProcReport) -> CtrlSignals {
+        let busy: Vec<f64> = segment
+            .per_worker
+            .iter()
+            .map(|s| s.busy_ms as f64 / 1000.0)
+            .collect();
+        busy_signals(
+            &busy,
+            segment.wall_time.as_secs_f64(),
+            segment.retries,
+            segment.total_iterations,
+        )
+    }
+
+    fn switch_ns(&self, _probe: &ProcReport) -> u64 {
+        self.start.elapsed().as_nanos() as u64
+    }
+
+    fn adopt(&mut self, probe: &ProcReport, algo: Algo, _dgc: bool) {
+        self.cfg.plan.strategy = algo;
+        self.cfg.initial_params = Some(probe.final_params.clone());
     }
 }
 
-/// Distill controller signals from a finished proc segment.
-pub(crate) fn proc_signals(report: &ProcReport) -> CtrlSignals {
-    let busy: Vec<f64> = report
-        .per_worker
-        .iter()
-        .map(|s| s.busy_ms as f64 / 1000.0)
-        .collect();
-    let wall = report.wall_time.as_secs_f64();
-    let mean_busy = if busy.is_empty() {
-        0.0
-    } else {
-        busy.iter().sum::<f64>() / busy.len() as f64
-    };
-    CtrlSignals {
-        straggle_ratio: straggle_ratio(&busy),
-        comm_fraction: if wall > 0.0 {
-            (1.0 - mean_busy / wall).clamp(0.0, 1.0)
-        } else {
-            0.0
-        },
-        staleness: 0.0,
-        retry_rate: if report.total_iterations > 0 {
-            report.retries as f64 / report.total_iterations as f64
-        } else {
-            0.0
-        },
-    }
-}
-
-/// [`train_proc_observed`](crate::coordinator::train_proc_observed) under
-/// the adaptive degradation controller. `timeout` bounds each segment.
+/// [`train_proc_observed`] under the adaptive degradation controller.
+/// `timeout` bounds each segment.
 pub fn train_proc_adaptive(
     cfg: ProcConfig,
     ctrl: &CtrlPlan,
     timeout: Duration,
     sink: &ObsSink,
-) -> Result<AdaptiveProcReport, ProcError> {
-    if !ctrl.enabled || ctrl.probe_epochs >= cfg.plan.epochs {
-        let report = train_proc_observed(cfg, timeout, sink)?;
-        return Ok(AdaptiveProcReport {
-            segments: vec![report],
-            signals: CtrlSignals::default(),
-            action: CtrlAction::Stay,
-        });
-    }
-    let wall = Instant::now();
-    let epochs = cfg.plan.epochs;
-    let strategy = cfg.plan.strategy;
-
-    let mut probe_cfg = cfg.clone();
-    probe_cfg.plan.epochs = ctrl.probe_epochs;
-    let probe = train_proc_observed(probe_cfg, timeout, sink)?;
-
-    let signals = proc_signals(&probe);
-    let action = ctrl.policy.decide(&signals);
-    markers::ctrl_switch(
-        &sink.track(Track::Runtime(0)),
-        wall.elapsed().as_nanos() as u64,
-        action.code(),
-    );
-
-    let mut rest_cfg = cfg;
-    rest_cfg.plan.epochs = epochs - ctrl.probe_epochs;
-    if let (Strategy::Bsp, CtrlAction::SwitchToSsp { staleness }) = (strategy, action) {
-        rest_cfg.plan.strategy = Strategy::Ssp { staleness };
-    }
-    rest_cfg.initial_params = Some(probe.final_params.clone());
-    let rest = train_proc_observed(rest_cfg, timeout, sink)?;
-    Ok(AdaptiveProcReport {
-        segments: vec![probe, rest],
-        signals,
-        action,
-    })
+) -> Result<AdaptiveReport<ProcReport>, ProcError> {
+    let mut run = ProcSegments {
+        cfg,
+        timeout,
+        sink,
+        start: Instant::now(),
+    };
+    run_controlled(&mut run, ctrl, sink)
 }

@@ -14,7 +14,7 @@ use std::time::Duration;
 use dtrain_cluster::CollectiveSchedule;
 use dtrain_data::TeacherTaskConfig;
 use dtrain_faults::ChaosSpec;
-use dtrain_runtime::{RunPlan, Strategy};
+use dtrain_runtime::{Algo, RunPlan};
 
 /// Millisecond duration from an env var, if set and parseable.
 fn env_ms(var: &str) -> Option<Duration> {
@@ -95,7 +95,8 @@ impl ProcConfig {
     /// Reject configurations whose failure detector cannot work: the
     /// reconnect window must exceed the liveness-poll period, or a
     /// disconnected rank could be swept before it ever had a poll's worth
-    /// of time to come back.
+    /// of time to come back. Also rejects a plan no worker can run
+    /// ([`RunPlan::validate`]).
     pub fn validate(&self) -> Result<(), String> {
         if self.reconnect_window <= self.heartbeat_interval {
             return Err(format!(
@@ -103,7 +104,7 @@ impl ProcConfig {
                 self.reconnect_window, self.heartbeat_interval
             ));
         }
-        Ok(())
+        self.plan.validate()
     }
 }
 
@@ -134,18 +135,22 @@ impl Default for ProcConfig {
     }
 }
 
-fn strategy_str(s: Strategy) -> String {
-    match s {
-        Strategy::Bsp => "bsp".into(),
-        Strategy::Asp => "asp".into(),
-        Strategy::Ssp { staleness } => format!("ssp:{staleness}"),
-        Strategy::Easgd { tau, alpha } => format!("easgd:{tau}:{:08x}", alpha.to_bits()),
-        Strategy::Gossip { p } => format!("gossip:{:016x}", p.to_bits()),
-        Strategy::AdPsgd => "adpsgd".into(),
+fn algo_str(a: Algo, workers: usize) -> String {
+    match a {
+        Algo::Bsp => "bsp".into(),
+        Algo::Asp => "asp".into(),
+        Algo::Ssp { staleness } => format!("ssp:{staleness}"),
+        Algo::Easgd { tau, alpha } => format!(
+            "easgd:{tau}:{:08x}",
+            Algo::easgd_alpha(alpha, workers).to_bits()
+        ),
+        Algo::GoSgd { p } => format!("gossip:{:016x}", p.to_bits()),
+        Algo::AdPsgd => "adpsgd".into(),
+        Algo::ArSgd => unreachable!("ProcConfig::validate rejects AR-SGD"),
     }
 }
 
-fn parse_strategy(s: &str) -> Result<Strategy, String> {
+fn parse_algo(s: &str) -> Result<Algo, String> {
     let mut parts = s.split(':');
     let head = parts.next().unwrap_or("");
     fn hex(part: Option<&str>, s: &str, what: &str) -> Result<u64, String> {
@@ -153,15 +158,15 @@ fn parse_strategy(s: &str) -> Result<Strategy, String> {
             .ok_or_else(|| format!("strategy {s}: bad {what}"))
     }
     match head {
-        "bsp" => Ok(Strategy::Bsp),
-        "asp" => Ok(Strategy::Asp),
-        "adpsgd" => Ok(Strategy::AdPsgd),
+        "bsp" => Ok(Algo::Bsp),
+        "asp" => Ok(Algo::Asp),
+        "adpsgd" => Ok(Algo::AdPsgd),
         "ssp" => {
             let st = parts
                 .next()
                 .and_then(|v| v.parse::<u64>().ok())
                 .ok_or_else(|| format!("strategy {s}: bad staleness"))?;
-            Ok(Strategy::Ssp { staleness: st })
+            Ok(Algo::Ssp { staleness: st })
         }
         "easgd" => {
             let tau = parts
@@ -169,9 +174,12 @@ fn parse_strategy(s: &str) -> Result<Strategy, String> {
                 .and_then(|v| v.parse::<u64>().ok())
                 .ok_or_else(|| format!("strategy {s}: bad tau"))?;
             let alpha = f32::from_bits(hex(parts.next(), s, "alpha")? as u32);
-            Ok(Strategy::Easgd { tau, alpha })
+            Ok(Algo::Easgd {
+                tau,
+                alpha: Some(alpha),
+            })
         }
-        "gossip" => Ok(Strategy::Gossip {
+        "gossip" => Ok(Algo::GoSgd {
             p: f64::from_bits(hex(parts.next(), s, "p")?),
         }),
         other => Err(format!("unknown strategy '{other}'")),
@@ -195,7 +203,7 @@ pub fn encode_worker_cfg(cfg: &ProcConfig) -> String {
         p.workers,
         p.epochs,
         p.batch,
-        strategy_str(p.strategy),
+        algo_str(p.strategy, p.workers),
         p.base_lr.to_bits(),
         p.momentum.to_bits(),
         p.weight_decay.to_bits(),
@@ -260,7 +268,7 @@ pub fn decode_worker_cfg(s: &str) -> Result<WorkerCfg, String> {
             "workers" => plan.workers = int()? as usize,
             "epochs" => plan.epochs = int()?,
             "batch" => plan.batch = int()? as usize,
-            "strategy" => plan.strategy = parse_strategy(v)?,
+            "strategy" => plan.strategy = parse_algo(v)?,
             "lr" => plan.base_lr = f32::from_bits(bits()?),
             "mom" => plan.momentum = f32::from_bits(bits()?),
             "wd" => plan.weight_decay = f32::from_bits(bits()?),
@@ -353,9 +361,9 @@ mod tests {
     #[test]
     fn worker_cfg_round_trips() {
         let mut cfg = ProcConfig::default();
-        cfg.plan.strategy = Strategy::Easgd {
+        cfg.plan.strategy = Algo::Easgd {
             tau: 4,
-            alpha: 0.23,
+            alpha: Some(0.23),
         };
         cfg.plan.base_lr = 0.0173;
         cfg.plan.collective = CollectiveSchedule::Pipelined;
@@ -376,7 +384,13 @@ mod tests {
         let back = decode_worker_cfg(&s).expect("decode");
         assert_eq!(back.plan.workers, cfg.plan.workers);
         assert_eq!(back.plan.base_lr.to_bits(), cfg.plan.base_lr.to_bits());
-        assert!(matches!(back.plan.strategy, Strategy::Easgd { tau: 4, alpha } if alpha == 0.23));
+        assert_eq!(
+            back.plan.strategy,
+            Algo::Easgd {
+                tau: 4,
+                alpha: Some(0.23)
+            }
+        );
         assert_eq!(back.plan.collective, CollectiveSchedule::Pipelined);
         assert_eq!(back.plan.gpus_per_machine, 3);
         assert_eq!(back.hidden, cfg.hidden);
@@ -414,20 +428,47 @@ mod tests {
 
     #[test]
     fn all_strategies_round_trip() {
-        for s in [
-            Strategy::Bsp,
-            Strategy::Asp,
-            Strategy::Ssp { staleness: 3 },
-            Strategy::Easgd {
-                tau: 8,
-                alpha: 0.125,
-            },
-            Strategy::Gossip { p: 0.37 },
-            Strategy::AdPsgd,
+        let workers = 4;
+        for (a, back_as) in [
+            (Algo::Bsp, Algo::Bsp),
+            (Algo::Asp, Algo::Asp),
+            (Algo::Ssp { staleness: 3 }, Algo::Ssp { staleness: 3 }),
+            (
+                Algo::Easgd {
+                    tau: 8,
+                    alpha: Some(0.125),
+                },
+                Algo::Easgd {
+                    tau: 8,
+                    alpha: Some(0.125),
+                },
+            ),
+            // An unset alpha crosses argv as the resolved 0.9/N.
+            (
+                Algo::Easgd {
+                    tau: 8,
+                    alpha: None,
+                },
+                Algo::Easgd {
+                    tau: 8,
+                    alpha: Some(0.9 / workers as f32),
+                },
+            ),
+            (Algo::GoSgd { p: 0.37 }, Algo::GoSgd { p: 0.37 }),
+            (Algo::AdPsgd, Algo::AdPsgd),
         ] {
-            let back = parse_strategy(&strategy_str(s)).expect("parse");
-            assert_eq!(format!("{back:?}"), format!("{s:?}"));
+            let back = parse_algo(&algo_str(a, workers)).expect("parse");
+            assert_eq!(back, back_as);
         }
+    }
+
+    #[test]
+    fn validate_rejects_ar_sgd() {
+        // AR-SGD has no worker body and no argv form.
+        let mut cfg = ProcConfig::default();
+        cfg.plan.strategy = Algo::ArSgd;
+        let err = cfg.validate().expect_err("AR-SGD must be rejected");
+        assert!(err.contains("AR-SGD"), "{err}");
     }
 
     #[test]

@@ -577,7 +577,7 @@ impl Coord {
             let grads: Vec<&ParamSet> = deposited.values().collect();
             if !grads.is_empty() {
                 let mean = ParamSet::mean_of(&grads);
-                self.ps.apply_round(&mean, lr);
+                self.ps.push_and_pull(&mean, lr);
             }
             if arrived < expected {
                 self.partial_rounds.fetch_add(1, Ordering::Relaxed);
@@ -631,7 +631,7 @@ impl Coord {
                 // BTreeMap iteration is ascending by leader rank — the
                 // order `reduce_partials` requires.
                 let mean = reduce_partials(deposited.into_iter().collect());
-                self.ps.apply_round(&mean, lr);
+                self.ps.push_and_pull(&mean, lr);
             }
             if arrived < expected {
                 self.partial_rounds.fetch_add(1, Ordering::Relaxed);

@@ -40,7 +40,7 @@ pub mod coordinator;
 pub mod proto;
 pub mod session;
 
-pub use adaptive::{train_proc_adaptive, AdaptiveProcReport};
+pub use adaptive::train_proc_adaptive;
 pub use backend::{LinkOpts, ProcBackend};
 pub use codec::{crc32, CodecError, MAX_PAYLOAD, PROTO_VERSION};
 pub use config::{ProcConfig, RejoinSpec, WorkerCfg};

@@ -16,7 +16,7 @@ use dtrain_core::prelude::*;
 use dtrain_data::{teacher_task, TeacherTaskConfig};
 use dtrain_models::mlp_classifier;
 use dtrain_proc::{train_proc_observed, ProcConfig};
-use dtrain_runtime::{train_threaded_observed, RunPlan, Strategy, ThreadedConfig};
+use dtrain_runtime::{train_threaded_observed, Algo, RunPlan, ThreadedConfig};
 
 const MODEL_SEED: u64 = 7;
 
@@ -84,7 +84,7 @@ fn sim_threaded_and_proc_agree_on_bsp_logical_metrics() {
             workers,
             epochs,
             batch,
-            strategy: Strategy::Bsp,
+            strategy: Algo::Bsp,
             seed: 5,
             ..Default::default()
         },
@@ -100,7 +100,7 @@ fn sim_threaded_and_proc_agree_on_bsp_logical_metrics() {
                 workers,
                 epochs,
                 batch,
-                strategy: Strategy::Bsp,
+                strategy: Algo::Bsp,
                 seed: 5,
                 ..Default::default()
             },
@@ -184,7 +184,7 @@ fn threaded_and_proc_agree_bitwise_under_hier_collectives() {
                 workers,
                 epochs,
                 batch,
-                strategy: Strategy::Bsp,
+                strategy: Algo::Bsp,
                 seed: 5,
                 collective,
                 gpus_per_machine: 2,
@@ -198,7 +198,7 @@ fn threaded_and_proc_agree_bitwise_under_hier_collectives() {
                     workers,
                     epochs,
                     batch,
-                    strategy: Strategy::Bsp,
+                    strategy: Algo::Bsp,
                     seed: 5,
                     collective,
                     gpus_per_machine: 2,

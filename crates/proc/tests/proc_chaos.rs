@@ -13,7 +13,7 @@ use dtrain_faults::ChaosSpec;
 use dtrain_nn::ParamSet;
 use dtrain_obs::{names, EventKind, ObsSink, Track};
 use dtrain_proc::{train_proc_observed, ProcConfig};
-use dtrain_runtime::{RunPlan, Strategy};
+use dtrain_runtime::{Algo, RunPlan};
 
 const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -25,7 +25,7 @@ fn chaos_cfg() -> ProcConfig {
             workers: 4,
             epochs: 3,
             batch: 16,
-            strategy: Strategy::Bsp,
+            strategy: Algo::Bsp,
             seed: 5,
             ..Default::default()
         },

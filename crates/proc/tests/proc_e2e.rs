@@ -8,12 +8,12 @@ use std::time::Duration;
 use dtrain_data::TeacherTaskConfig;
 use dtrain_models::mlp_classifier;
 use dtrain_proc::{train_proc, ProcConfig};
-use dtrain_runtime::{RunPlan, Strategy};
+use dtrain_runtime::{Algo, RunPlan};
 
 const MODEL_SEED: u64 = 7;
 const TIMEOUT: Duration = Duration::from_secs(120);
 
-fn cfg(strategy: Strategy, workers: usize, epochs: u64, train_size: usize) -> ProcConfig {
+fn cfg(strategy: Algo, workers: usize, epochs: u64, train_size: usize) -> ProcConfig {
     ProcConfig {
         plan: RunPlan {
             workers,
@@ -45,7 +45,7 @@ fn model_bytes(task: &TeacherTaskConfig) -> u64 {
 /// worker pushes one full-model gradient per round, nothing is evicted.
 #[test]
 fn bsp_end_to_end_over_tcp() {
-    let c = cfg(Strategy::Bsp, 4, 3, 256);
+    let c = cfg(Algo::Bsp, 4, 3, 256);
     let per_worker_iters = 3 * (256 / 4 / 16) as u64; // 12
     let bytes = model_bytes(&c.task);
     let report = train_proc(c, TIMEOUT).expect("bsp run");
@@ -75,7 +75,7 @@ fn bsp_end_to_end_over_tcp() {
 /// coordinator; all ranks finish all rounds.
 #[test]
 fn ssp_end_to_end_over_tcp() {
-    let c = cfg(Strategy::Ssp { staleness: 1 }, 4, 3, 256);
+    let c = cfg(Algo::Ssp { staleness: 1 }, 4, 3, 256);
     let report = train_proc(c, TIMEOUT).expect("ssp run");
     assert_eq!(report.total_iterations, 4 * 12);
     assert_eq!(report.evictions, 0);
@@ -89,7 +89,7 @@ fn ssp_end_to_end_over_tcp() {
 /// ASP: pure asynchronous push-pull against the coordinator-owned PS.
 #[test]
 fn asp_end_to_end_over_tcp() {
-    let c = cfg(Strategy::Asp, 4, 3, 256);
+    let c = cfg(Algo::Asp, 4, 3, 256);
     let report = train_proc(c, TIMEOUT).expect("asp run");
     assert_eq!(report.total_iterations, 4 * 12);
     assert_eq!(report.evictions, 0);
@@ -106,9 +106,12 @@ fn asp_end_to_end_over_tcp() {
 #[test]
 fn decentralized_families_smoke() {
     for strategy in [
-        Strategy::Easgd { tau: 2, alpha: 0.4 },
-        Strategy::Gossip { p: 1.0 },
-        Strategy::AdPsgd,
+        Algo::Easgd {
+            tau: 2,
+            alpha: Some(0.4),
+        },
+        Algo::GoSgd { p: 1.0 },
+        Algo::AdPsgd,
     ] {
         let c = cfg(strategy, 4, 2, 128);
         let report =

@@ -11,7 +11,7 @@ use dtrain_data::TeacherTaskConfig;
 use dtrain_models::mlp_classifier;
 use dtrain_obs::{names, EventKind, ObsSink, Track};
 use dtrain_proc::{ProcConfig, ProcReport, ProcRun, RejoinSpec};
-use dtrain_runtime::{RunPlan, Strategy};
+use dtrain_runtime::{Algo, RunPlan};
 
 const MODEL_SEED: u64 = 7;
 const TIMEOUT: Duration = Duration::from_secs(120);
@@ -19,7 +19,7 @@ const GATE: Duration = Duration::from_secs(30);
 
 /// 4 workers, 256 samples / 4 / batch 16 = 4 rounds per epoch, 3 epochs
 /// = 12 rounds per rank.
-fn kill_cfg(strategy: Strategy) -> ProcConfig {
+fn kill_cfg(strategy: Algo) -> ProcConfig {
     ProcConfig {
         plan: RunPlan {
             workers: 4,
@@ -85,7 +85,7 @@ fn instants(sink: &ObsSink, name: &str) -> Vec<i64> {
 #[test]
 fn bsp_survives_sigkill_of_worker_process() {
     let sink = ObsSink::enabled();
-    let report = run_kill(kill_cfg(Strategy::Bsp), &sink);
+    let report = run_kill(kill_cfg(Algo::Bsp), &sink);
     archive_trace("bsp_sigkill", &sink);
 
     assert_eq!(report.evictions, 1);
@@ -125,8 +125,8 @@ fn bsp_survives_sigkill_of_worker_process() {
 /// final model (bit-identical aggregation order on the survivor cohort).
 #[test]
 fn sigkill_run_is_deterministic() {
-    let a = run_kill(kill_cfg(Strategy::Bsp), &ObsSink::disabled());
-    let b = run_kill(kill_cfg(Strategy::Bsp), &ObsSink::disabled());
+    let a = run_kill(kill_cfg(Algo::Bsp), &ObsSink::disabled());
+    let b = run_kill(kill_cfg(Algo::Bsp), &ObsSink::disabled());
     assert_eq!(a.total_iterations, b.total_iterations);
     for w in 0..4 {
         assert_eq!(
@@ -148,7 +148,7 @@ fn sigkill_run_is_deterministic() {
 /// threaded runtime uses. The final cohort is whole again.
 #[test]
 fn bsp_late_rejoin_after_sigkill() {
-    let mut cfg = kill_cfg(Strategy::Bsp);
+    let mut cfg = kill_cfg(Algo::Bsp);
     cfg.rejoin = Some(RejoinSpec {
         worker: 1,
         at_round: 6,
@@ -193,10 +193,7 @@ fn bsp_late_rejoin_after_sigkill() {
 /// staleness gate that was waiting on it.
 #[test]
 fn ssp_survives_sigkill_without_clock_deadlock() {
-    let report = run_kill(
-        kill_cfg(Strategy::Ssp { staleness: 1 }),
-        &ObsSink::disabled(),
-    );
+    let report = run_kill(kill_cfg(Algo::Ssp { staleness: 1 }), &ObsSink::disabled());
     assert_eq!(report.evictions, 1);
     assert_eq!(report.per_worker[1].iterations, 2);
     for w in [0, 2, 3] {

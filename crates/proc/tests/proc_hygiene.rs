@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use dtrain_data::TeacherTaskConfig;
 use dtrain_obs::ObsSink;
 use dtrain_proc::{ProcConfig, ProcRun};
-use dtrain_runtime::{RunPlan, Strategy};
+use dtrain_runtime::{Algo, RunPlan};
 
 fn cfg(epochs: u64) -> ProcConfig {
     ProcConfig {
@@ -16,7 +16,7 @@ fn cfg(epochs: u64) -> ProcConfig {
             workers: 4,
             epochs,
             batch: 16,
-            strategy: Strategy::Bsp,
+            strategy: Algo::Bsp,
             seed: 5,
             ..Default::default()
         },

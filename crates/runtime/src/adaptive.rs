@@ -1,77 +1,87 @@
-//! Adaptive degradation controller, threaded path.
+//! Adaptive degradation controller, threaded path: the [`SegmentedRun`]
+//! impl that [`run_controlled`] drives.
 //!
-//! The run is split into a *probe* segment and a *remainder*. At the
-//! boundary the controller distills [`CtrlSignals`] from the probe's
-//! per-worker busy times, asks the shared [`DegradePolicy`] for a verdict,
-//! stamps a `ctrl.switch` marker with the action code, and runs the
-//! remainder under the (possibly degraded) strategy with the probe's
-//! aggregate parameters adopted as the starting state.
-//!
-//! What each action means here:
-//! - `SwitchToSsp` applies only when the probe ran BSP — the barrier is
-//!   what a straggler poisons; asynchronous strategies already decouple.
-//! - `EnableDgc` is recorded in the marker but cannot change this path's
-//!   wire behaviour (shared memory moves no bytes); the sim path is where
-//!   DGC alters the run.
-//!
-//! Each segment restarts its LR schedule over its own epoch span — the
-//! controller trades schedule continuity for strategy agility, exactly as
-//! a restarted-with-adopted-weights run would.
+//! Signals come from the probe's per-worker busy times against its wall
+//! time. `EnableDgc` is recorded in the marker but cannot change this
+//! path's wire behaviour (shared memory moves no bytes); the sim path is
+//! where DGC alters the run. The remainder starts from the probe's
+//! aggregate parameters.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
 use dtrain_data::Dataset;
-use dtrain_faults::{markers, straggle_ratio, CtrlAction, CtrlPlan, CtrlSignals};
-use dtrain_nn::Network;
-use dtrain_obs::{ObsSink, Track};
+use dtrain_faults::{
+    busy_signals, run_controlled, AdaptiveReport, Algo, CtrlPlan, CtrlSignals, SegmentedRun,
+};
+use dtrain_nn::{Network, ParamSet};
+use dtrain_obs::ObsSink;
 
 use crate::engine::{train_threaded_observed, ThreadedConfig, ThreadedReport};
-use crate::strategy::Strategy;
 
-/// Outcome of an adaptive threaded run: every executed segment plus the
-/// controller's boundary reading and verdict.
-#[derive(Clone, Debug)]
-pub struct AdaptiveThreadedReport {
-    /// Probe segment first, remainder second (single entry when the
-    /// controller is disabled or the probe covers the whole run).
-    pub segments: Vec<ThreadedReport>,
-    /// Signals read at the segment boundary.
-    pub signals: CtrlSignals,
-    /// The policy's verdict at the boundary.
-    pub action: CtrlAction,
+struct ThreadedRun<'a, F> {
+    factory: F,
+    train: &'a Arc<Dataset>,
+    test: &'a Dataset,
+    cfg: ThreadedConfig,
+    /// Starting parameters for the next segment (`None` = `factory`'s).
+    adopted: Option<ParamSet>,
+    sink: &'a ObsSink,
+    start: Instant,
 }
 
-impl AdaptiveThreadedReport {
-    pub fn final_accuracy(&self) -> f32 {
-        self.segments.last().map_or(0.0, |s| s.final_accuracy)
+impl<F> SegmentedRun for ThreadedRun<'_, F>
+where
+    F: Fn() -> Network + Send + Sync,
+{
+    type Report = ThreadedReport;
+    type Error = Infallible;
+
+    fn epochs(&self) -> u64 {
+        self.cfg.epochs
     }
-}
 
-/// Distill controller signals from a finished threaded segment.
-pub(crate) fn threaded_signals(report: &ThreadedReport) -> CtrlSignals {
-    let busy: Vec<f64> = report
-        .per_worker_busy
-        .iter()
-        .map(|d| d.as_secs_f64())
-        .collect();
-    let wall = report.wall_time.as_secs_f64();
-    let mean_busy = if busy.is_empty() {
-        0.0
-    } else {
-        busy.iter().sum::<f64>() / busy.len() as f64
-    };
-    CtrlSignals {
-        straggle_ratio: straggle_ratio(&busy),
-        // Whatever a worker is not busy with is coordination: barrier
-        // waits, server round-trips, exchange stalls.
-        comm_fraction: if wall > 0.0 {
-            (1.0 - mean_busy / wall).clamp(0.0, 1.0)
-        } else {
-            0.0
-        },
-        staleness: 0.0,
-        retry_rate: 0.0,
+    fn algo(&self) -> Algo {
+        self.cfg.strategy
+    }
+
+    fn run(&mut self, epochs: u64) -> Result<ThreadedReport, Infallible> {
+        let mut cfg = self.cfg.clone();
+        cfg.epochs = epochs;
+        let factory = || {
+            let mut net = (self.factory)();
+            if let Some(p) = &self.adopted {
+                net.set_params(p);
+            }
+            net
+        };
+        Ok(train_threaded_observed(
+            factory, self.train, self.test, &cfg, self.sink,
+        ))
+    }
+
+    fn signals(&self, segment: &ThreadedReport) -> CtrlSignals {
+        let busy: Vec<f64> = segment
+            .per_worker_busy
+            .iter()
+            .map(|d| d.as_secs_f64())
+            .collect();
+        busy_signals(
+            &busy,
+            segment.wall_time.as_secs_f64(),
+            0,
+            segment.total_iterations,
+        )
+    }
+
+    fn switch_ns(&self, _probe: &ThreadedReport) -> u64 {
+        self.start.elapsed().as_nanos() as u64
+    }
+
+    fn adopt(&mut self, probe: &ThreadedReport, algo: Algo, _dgc: bool) {
+        self.cfg.strategy = algo;
+        self.adopted = Some(probe.final_params.clone());
     }
 }
 
@@ -83,51 +93,19 @@ pub fn train_adaptive<F>(
     cfg: &ThreadedConfig,
     ctrl: &CtrlPlan,
     sink: &ObsSink,
-) -> AdaptiveThreadedReport
+) -> AdaptiveReport<ThreadedReport>
 where
     F: Fn() -> Network + Send + Sync,
 {
-    if !ctrl.enabled || ctrl.probe_epochs >= cfg.epochs {
-        let report = train_threaded_observed(&factory, train, test, cfg, sink);
-        return AdaptiveThreadedReport {
-            segments: vec![report],
-            signals: CtrlSignals::default(),
-            action: CtrlAction::Stay,
-        };
-    }
-    let wall = Instant::now();
-    let mut probe_cfg = cfg.clone();
-    probe_cfg.epochs = ctrl.probe_epochs;
-    let probe = train_threaded_observed(&factory, train, test, &probe_cfg, sink);
-
-    let signals = threaded_signals(&probe);
-    let action = ctrl.policy.decide(&signals);
-    markers::ctrl_switch(
-        &sink.track(Track::Runtime(0)),
-        wall.elapsed().as_nanos() as u64,
-        action.code(),
-    );
-
-    let mut rest_cfg = cfg.clone();
-    rest_cfg.epochs = cfg.epochs - ctrl.probe_epochs;
-    if let (Strategy::Bsp, CtrlAction::SwitchToSsp { staleness }) = (cfg.strategy, action) {
-        rest_cfg.strategy = Strategy::Ssp { staleness };
-    }
-    let adopted = probe.final_params.clone();
-    let rest = train_threaded_observed(
-        move || {
-            let mut net = factory();
-            net.set_params(&adopted);
-            net
-        },
+    let mut run = ThreadedRun {
+        factory,
         train,
         test,
-        &rest_cfg,
+        cfg: cfg.clone(),
+        adopted: None,
         sink,
-    );
-    AdaptiveThreadedReport {
-        segments: vec![probe, rest],
-        signals,
-        action,
-    }
+        start: Instant::now(),
+    };
+    let Ok(report) = run_controlled(&mut run, ctrl, sink);
+    report
 }

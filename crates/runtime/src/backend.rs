@@ -1,9 +1,11 @@
 //! The execution-backend abstraction: one set of algorithm bodies, three
 //! ways to run them.
 //!
-//! [`crate::worker_body`] contains the seven aggregation algorithms written
-//! once against this trait. What varies between execution paths is *how*
-//! state moves, not *what* moves:
+//! [`crate::worker_body`] contains the aggregation algorithms written once
+//! against this trait, named by [`Algo`], the one algorithm enum all three
+//! paths share. AR-SGD has no body here: its ring exists only on the
+//! simulator, and [`RunPlan::validate`] rejects it. What varies between
+//! execution paths is *how* state moves, not *what* moves:
 //!
 //! | path | backend | transport |
 //! |---|---|---|
@@ -32,9 +34,8 @@ use std::time::Duration;
 
 use crossbeam_channel::Sender;
 use dtrain_cluster::CollectiveSchedule;
+use dtrain_faults::Algo;
 use dtrain_nn::{ParamSet, SgdMomentum};
-
-use crate::strategy::Strategy;
 
 /// The path-agnostic slice of a run configuration: everything
 /// [`crate::worker_body`] needs to execute its share of the training run.
@@ -44,7 +45,7 @@ pub struct RunPlan {
     pub workers: usize,
     pub epochs: u64,
     pub batch: usize,
-    pub strategy: Strategy,
+    pub strategy: Algo,
     /// Single-worker base LR; scaled/warmed/decayed like the paper.
     pub base_lr: f32,
     pub momentum: f32,
@@ -66,7 +67,7 @@ impl Default for RunPlan {
             workers: 4,
             epochs: 10,
             batch: 32,
-            strategy: Strategy::Bsp,
+            strategy: Algo::Bsp,
             base_lr: 0.02,
             momentum: 0.9,
             weight_decay: 1e-4,
@@ -74,6 +75,17 @@ impl Default for RunPlan {
             collective: CollectiveSchedule::Flat,
             gpus_per_machine: 2,
         }
+    }
+}
+
+impl RunPlan {
+    /// Reject a plan [`crate::worker_body`] cannot run. AR-SGD has no body
+    /// here: its ring collective exists only on the simulator.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.strategy == Algo::ArSgd {
+            return Err("AR-SGD runs only on the simulator: no threaded or process body".into());
+        }
+        Ok(())
     }
 }
 

@@ -1,5 +1,5 @@
 //! The threaded training engine: N OS threads, each owning a model replica
-//! and a data shard, aggregating through the chosen [`Strategy`].
+//! and a data shard, aggregating through the chosen [`Algo`].
 //!
 //! This is the "production" counterpart of the simulator in `dtrain-algos`:
 //! same algorithms, real parallelism, real wall-clock. Execution is
@@ -19,13 +19,13 @@ use std::time::{Duration, Instant};
 use crossbeam_channel::{unbounded, Receiver};
 use dtrain_cluster::CollectiveSchedule;
 use dtrain_data::Dataset;
-use dtrain_faults::{markers, CheckpointStore, MembershipView, RuntimeFaultSchedule};
+use dtrain_faults::{markers, Algo, CheckpointStore, MembershipView, RuntimeFaultSchedule};
 use dtrain_nn::{Network, ParamSet, SgdMomentum};
 use dtrain_obs::{ObsSink, Track, TrackHandle};
 use parking_lot::Mutex;
 
 use crate::backend::{BspOutcome, ExecBackend, PeerRequest, ReplyToken, RunPlan};
-use crate::strategy::{ExchangeMsg, GossipMsg, PeerCtrl, PeerNet, PsState, Strategy};
+use crate::strategy::{ExchangeMsg, GossipMsg, PeerCtrl, PeerNet, PsState};
 use crate::sync::ElasticBarrier;
 use crate::worker::worker_body;
 
@@ -100,7 +100,7 @@ pub struct ThreadedConfig {
     pub workers: usize,
     pub epochs: u64,
     pub batch: usize,
-    pub strategy: Strategy,
+    pub strategy: Algo,
     /// Single-worker base LR; scaled/warmed/decayed like the paper.
     pub base_lr: f32,
     pub momentum: f32,
@@ -137,7 +137,7 @@ impl Default for ThreadedConfig {
             workers: default_workers(),
             epochs: 10,
             batch: 32,
-            strategy: Strategy::Bsp,
+            strategy: Algo::Bsp,
             base_lr: 0.02,
             momentum: 0.9,
             weight_decay: 1e-4,
@@ -484,7 +484,7 @@ impl ExecBackend for ThreadedBackend {
                     .collect()
             };
             let mean = ParamSet::mean_of(&grads);
-            self.ps.apply_round(&mean, lr);
+            self.ps.push_and_pull(&mean, lr);
             slots.iter_mut().for_each(|s| *s = None);
             drop(slots);
             self.ps_applied();
@@ -535,7 +535,7 @@ impl ExecBackend for ThreadedBackend {
                 .filter_map(|(rank, s)| s.take().map(|p| (rank, p)))
                 .collect();
             let mean = crate::collective::reduce_partials(parts);
-            self.ps.apply_round(&mean, lr);
+            self.ps.push_and_pull(&mean, lr);
             drop(slots);
             self.ps_applied();
         }
@@ -720,7 +720,11 @@ where
     F: Fn() -> Network + Send + Sync,
 {
     assert!(cfg.workers >= 1, "need at least one worker");
-    if matches!(cfg.strategy, Strategy::AdPsgd) {
+    let plan = cfg.plan();
+    if let Err(e) = plan.validate() {
+        panic!("{e}");
+    }
+    if matches!(cfg.strategy, Algo::AdPsgd) {
         assert!(cfg.workers >= 2, "AD-PSGD needs two workers");
     }
     let shard_len = train.len() / cfg.workers;
@@ -762,7 +766,6 @@ where
     }
 
     let started = Instant::now();
-    let plan = cfg.plan();
     let finals: Vec<(ParamSet, Duration)> = std::thread::scope(|scope| {
         if let Some(fr) = faults.as_ref() {
             let fr = Arc::clone(fr);

@@ -10,7 +10,7 @@
 //! use std::sync::Arc;
 //! use dtrain_data::{teacher_task, TeacherTaskConfig};
 //! use dtrain_models::default_mlp;
-//! use dtrain_runtime::{train_threaded, Strategy, ThreadedConfig};
+//! use dtrain_runtime::{train_threaded, ThreadedConfig};
 //!
 //! let (train, test) = teacher_task(&TeacherTaskConfig {
 //!     train_size: 512, test_size: 128, ..Default::default()
@@ -33,13 +33,18 @@ mod strategy;
 pub mod sync;
 mod worker;
 
-pub use adaptive::{train_adaptive, AdaptiveThreadedReport};
+pub use adaptive::train_adaptive;
 pub use backend::{BspOutcome, ExecBackend, PeerRequest, ReplyToken, RunPlan};
 pub use collective::{hier_bsp_exchange, reduce_partials, sum_rank_ascending};
+pub use dtrain_faults::Algo;
+/// The algorithm enum under its former name, kept because the benchmark
+/// package in `perfbench/` names `dtrain_runtime::Strategy` and must build
+/// unchanged so its results compare across revisions.
+pub use dtrain_faults::Algo as Strategy;
 pub use engine::{
     default_workers, train_threaded, train_threaded_observed, RuntimeFaultConfig, ThreadedConfig,
     ThreadedReport,
 };
-pub use strategy::{ExchangeMsg, GossipMsg, PeerCtrl, PeerNet, PsState, Strategy};
+pub use strategy::{ExchangeMsg, GossipMsg, PeerCtrl, PeerNet, PsState};
 pub use sync::ElasticBarrier;
 pub use worker::{worker_body, WorkerOutcome};

@@ -1,4 +1,4 @@
-//! Aggregation strategies for the threaded engine, and their shared state.
+//! Shared state for the threaded engine's aggregation algorithms.
 //!
 //! These are the same seven algorithms as `dtrain-algos`, but running on
 //! real OS threads against real shared memory: a `Mutex`-guarded parameter
@@ -11,37 +11,6 @@ use std::sync::Arc;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use dtrain_nn::{ParamSet, SgdMomentum};
 use parking_lot::{Condvar, Mutex};
-
-/// Which aggregation rule the threaded workers follow.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Strategy {
-    /// Barrier-synchronous rounds with a shared optimizer (BSP ≡ AR-SGD in
-    /// shared memory: the all-reduce is just the shared sum).
-    Bsp,
-    /// Lock-the-server asynchronous pushes (ASP).
-    Asp,
-    /// ASP plus a staleness bound: workers ahead of `slowest + s` block.
-    Ssp { staleness: u64 },
-    /// Local SGD with an elastic-averaging round every `tau` iterations.
-    Easgd { tau: u64, alpha: f32 },
-    /// Asymmetric gossip with probability `p` per iteration.
-    Gossip { p: f64 },
-    /// Bipartite symmetric exchanges (even ranks initiate).
-    AdPsgd,
-}
-
-impl Strategy {
-    pub fn name(&self) -> &'static str {
-        match self {
-            Strategy::Bsp => "BSP",
-            Strategy::Asp => "ASP",
-            Strategy::Ssp { .. } => "SSP",
-            Strategy::Easgd { .. } => "EASGD",
-            Strategy::Gossip { .. } => "GoSGD",
-            Strategy::AdPsgd => "AD-PSGD",
-        }
-    }
-}
 
 /// Centralized shared state: global parameters + optimizer + SSP clocks.
 pub struct PsState {
@@ -59,17 +28,13 @@ impl PsState {
         })
     }
 
-    /// ASP/SSP push: apply `grad` at `lr` and return fresh global params.
+    /// ASP/SSP push, or a BSP round's averaged gradient: apply `grad` at
+    /// `lr` once and return fresh global params.
     pub fn push_and_pull(&self, grad: &ParamSet, lr: f32) -> ParamSet {
         let mut g = self.global.lock();
         let (params, opt) = &mut *g;
         opt.step(params, grad, lr);
         params.clone()
-    }
-
-    /// BSP round: apply the already-averaged gradient once, return params.
-    pub fn apply_round(&self, mean_grad: &ParamSet, lr: f32) -> ParamSet {
-        self.push_and_pull(mean_grad, lr)
     }
 
     /// Read-only snapshot of the global parameters.
@@ -222,12 +187,5 @@ mod tests {
             .expect("send");
         let got = net.gossip_rx[1].lock().try_recv().expect("recv");
         assert_eq!(got.alpha, 0.5);
-    }
-
-    #[test]
-    fn strategy_names() {
-        assert_eq!(Strategy::Bsp.name(), "BSP");
-        assert_eq!(Strategy::Ssp { staleness: 3 }.name(), "SSP");
-        assert_eq!(Strategy::Gossip { p: 0.1 }.name(), "GoSGD");
     }
 }

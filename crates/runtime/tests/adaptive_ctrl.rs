@@ -12,7 +12,7 @@ use dtrain_faults::{CtrlAction, CtrlPlan, DegradePolicy, RuntimeFaultSchedule};
 use dtrain_models::default_mlp;
 use dtrain_obs::export::canonical_line;
 use dtrain_obs::ObsSink;
-use dtrain_runtime::{train_adaptive, RuntimeFaultConfig, Strategy, ThreadedConfig};
+use dtrain_runtime::{train_adaptive, Algo, RuntimeFaultConfig, ThreadedConfig};
 
 fn data() -> (Arc<dtrain_data::Dataset>, dtrain_data::Dataset) {
     let (train, test) = teacher_task(&TeacherTaskConfig {
@@ -28,7 +28,7 @@ fn straggler_cfg() -> ThreadedConfig {
     ThreadedConfig {
         workers: 4,
         epochs: 8,
-        strategy: Strategy::Bsp,
+        strategy: Algo::Bsp,
         faults: Some(RuntimeFaultConfig {
             schedule: RuntimeFaultSchedule {
                 stragglers: vec![(0, 4.0)],
@@ -84,15 +84,12 @@ fn straggler_trips_bsp_to_ssp_with_pinned_marker() {
     );
     assert!(a.signals.straggle_ratio > 2.0, "{:?}", a.signals);
     assert_eq!(a.segments.len(), 2);
-    assert_eq!(a.segments[0].strategy, Strategy::Bsp.name());
-    assert_eq!(
-        a.segments[1].strategy,
-        Strategy::Ssp { staleness: 3 }.name()
-    );
+    assert_eq!(a.segments[0].strategy, Algo::Bsp.name());
+    assert_eq!(a.segments[1].strategy, Algo::Ssp { staleness: 3 }.name());
     assert!(
-        a.final_accuracy() > 0.3,
+        a.last().final_accuracy > 0.3,
         "degraded run still learns: {}",
-        a.final_accuracy()
+        a.last().final_accuracy
     );
     assert_eq!(
         ma,
@@ -123,14 +120,14 @@ fn untrippable_policy_stays_and_still_stamps_the_marker() {
     let cfg = ThreadedConfig {
         workers: 4,
         epochs: 4,
-        strategy: Strategy::Bsp,
+        strategy: Algo::Bsp,
         ..Default::default()
     };
     let sink = ObsSink::enabled();
     let out = train_adaptive(|| default_mlp(10, 7), &train, &test, &cfg, &ctrl, &sink);
     assert_eq!(out.action, CtrlAction::Stay);
     assert_eq!(out.segments.len(), 2, "Stay still splits at the probe");
-    assert_eq!(out.segments[1].strategy, Strategy::Bsp.name());
+    assert_eq!(out.segments[1].strategy, Algo::Bsp.name());
     assert_eq!(marker_sequence(&sink), vec!["r0 I ctrl.switch 0 -"]);
 }
 

@@ -11,9 +11,7 @@ use std::time::Duration;
 use dtrain_data::{teacher_task, TeacherTaskConfig};
 use dtrain_faults::MembershipView;
 use dtrain_models::default_mlp;
-use dtrain_runtime::{
-    train_threaded, RuntimeFaultConfig, Strategy, ThreadedConfig, ThreadedReport,
-};
+use dtrain_runtime::{train_threaded, Algo, RuntimeFaultConfig, ThreadedConfig, ThreadedReport};
 
 const WORKERS: usize = 4;
 const EPOCHS: u64 = 3;
@@ -21,16 +19,16 @@ const EPOCHS: u64 = 3;
 const PER_EPOCH: u64 = 16;
 const ROUNDS: u64 = EPOCHS * PER_EPOCH;
 
-const STRATEGIES: [Strategy; 6] = [
-    Strategy::Bsp,
-    Strategy::Asp,
-    Strategy::Ssp { staleness: 2 },
-    Strategy::Easgd {
+const STRATEGIES: [Algo; 6] = [
+    Algo::Bsp,
+    Algo::Asp,
+    Algo::Ssp { staleness: 2 },
+    Algo::Easgd {
         tau: 2,
-        alpha: 0.25,
+        alpha: Some(0.25),
     },
-    Strategy::Gossip { p: 0.3 },
-    Strategy::AdPsgd,
+    Algo::GoSgd { p: 0.3 },
+    Algo::AdPsgd,
 ];
 
 fn data() -> (Arc<dtrain_data::Dataset>, dtrain_data::Dataset) {
@@ -43,7 +41,7 @@ fn data() -> (Arc<dtrain_data::Dataset>, dtrain_data::Dataset) {
     (Arc::new(train), test)
 }
 
-fn elastic_run(strategy: Strategy, view: MembershipView) -> ThreadedReport {
+fn elastic_run(strategy: Algo, view: MembershipView) -> ThreadedReport {
     let (train, test) = data();
     train_threaded(
         || default_mlp(10, 7),
@@ -129,7 +127,7 @@ fn elastic_bsp_makes_progress_under_watchdog() {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let view = MembershipView::from_events(WORKERS, &[(1, 5)], &[(1, 40)]);
-        let _ = tx.send(elastic_run(Strategy::Bsp, view));
+        let _ = tx.send(elastic_run(Algo::Bsp, view));
     });
     let r = rx
         .recv_timeout(Duration::from_secs(120))

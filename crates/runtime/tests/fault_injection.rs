@@ -8,7 +8,7 @@ use std::time::Duration;
 use dtrain_data::{teacher_task, TeacherTaskConfig};
 use dtrain_faults::RuntimeFaultSchedule;
 use dtrain_models::default_mlp;
-use dtrain_runtime::{train_threaded, RuntimeFaultConfig, Strategy, ThreadedConfig};
+use dtrain_runtime::{train_threaded, Algo, RuntimeFaultConfig, ThreadedConfig};
 
 fn data() -> (Arc<dtrain_data::Dataset>, dtrain_data::Dataset) {
     let (train, test) = teacher_task(&TeacherTaskConfig {
@@ -20,7 +20,7 @@ fn data() -> (Arc<dtrain_data::Dataset>, dtrain_data::Dataset) {
     (Arc::new(train), test)
 }
 
-fn faulty_run(strategy: Strategy, faults: RuntimeFaultConfig) -> dtrain_runtime::ThreadedReport {
+fn faulty_run(strategy: Algo, faults: RuntimeFaultConfig) -> dtrain_runtime::ThreadedReport {
     let (train, test) = data();
     train_threaded(
         || default_mlp(10, 7),
@@ -47,7 +47,7 @@ fn crashy_schedule() -> RuntimeFaultSchedule {
 #[test]
 fn bsp_survives_crashes_stragglers_and_ps_outage() {
     let r = faulty_run(
-        Strategy::Bsp,
+        Algo::Bsp,
         RuntimeFaultConfig {
             schedule: crashy_schedule(),
             checkpoint_interval: 10,
@@ -72,7 +72,7 @@ fn bsp_survives_crashes_stragglers_and_ps_outage() {
 #[test]
 fn asp_survives_crashes_and_outage() {
     let r = faulty_run(
-        Strategy::Asp,
+        Algo::Asp,
         RuntimeFaultConfig {
             schedule: crashy_schedule(),
             checkpoint_interval: 10,
@@ -94,7 +94,7 @@ fn asp_survives_crashes_and_outage() {
 #[test]
 fn restart_budget_is_bounded() {
     let r = faulty_run(
-        Strategy::Asp,
+        Algo::Asp,
         RuntimeFaultConfig {
             schedule: RuntimeFaultSchedule {
                 crashes: vec![(0, 10), (1, 20), (2, 30), (3, 40)],
@@ -117,7 +117,7 @@ fn heartbeat_watchdog_flags_stalled_worker() {
     // crashed worker is silent for five timeouts, so the watchdog must
     // log missed heartbeats while it is down.
     let r = faulty_run(
-        Strategy::Gossip { p: 0.3 },
+        Algo::GoSgd { p: 0.3 },
         RuntimeFaultConfig {
             schedule: RuntimeFaultSchedule {
                 crashes: vec![(0, 20)],

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use dtrain_cluster::CollectiveSchedule;
 use dtrain_data::{teacher_task, TeacherTaskConfig};
 use dtrain_models::default_mlp;
-use dtrain_runtime::{train_threaded, Strategy, ThreadedConfig};
+use dtrain_runtime::{train_threaded, Algo, ThreadedConfig};
 
 fn data() -> (Arc<dtrain_data::Dataset>, dtrain_data::Dataset) {
     let (train, test) = teacher_task(&TeacherTaskConfig {
@@ -18,7 +18,7 @@ fn data() -> (Arc<dtrain_data::Dataset>, dtrain_data::Dataset) {
     (Arc::new(train), test)
 }
 
-fn run_strategy(strategy: Strategy, workers: usize, epochs: u64) -> dtrain_runtime::ThreadedReport {
+fn run_strategy(strategy: Algo, workers: usize, epochs: u64) -> dtrain_runtime::ThreadedReport {
     let (train, test) = data();
     train_threaded(
         || default_mlp(10, 7),
@@ -35,7 +35,7 @@ fn run_strategy(strategy: Strategy, workers: usize, epochs: u64) -> dtrain_runti
 
 #[test]
 fn bsp_trains_and_replicas_agree() {
-    let r = run_strategy(Strategy::Bsp, 4, 10);
+    let r = run_strategy(Algo::Bsp, 4, 10);
     assert!(r.final_accuracy > 0.45, "BSP accuracy {}", r.final_accuracy);
     assert!(r.final_drift < 1e-5, "BSP drift {}", r.final_drift);
     assert_eq!(r.total_iterations, 4 * 10 * 16);
@@ -56,7 +56,7 @@ fn bsp_hier_trains_and_replicas_agree() {
             &ThreadedConfig {
                 workers: 4,
                 epochs: 10,
-                strategy: Strategy::Bsp,
+                strategy: Algo::Bsp,
                 collective,
                 gpus_per_machine: 2,
                 ..Default::default()
@@ -75,22 +75,22 @@ fn bsp_hier_trains_and_replicas_agree() {
 
 #[test]
 fn asp_trains() {
-    let r = run_strategy(Strategy::Asp, 4, 10);
+    let r = run_strategy(Algo::Asp, 4, 10);
     assert!(r.final_accuracy > 0.4, "ASP accuracy {}", r.final_accuracy);
 }
 
 #[test]
 fn ssp_trains_with_bounded_staleness() {
-    let r = run_strategy(Strategy::Ssp { staleness: 3 }, 4, 10);
+    let r = run_strategy(Algo::Ssp { staleness: 3 }, 4, 10);
     assert!(r.final_accuracy > 0.4, "SSP accuracy {}", r.final_accuracy);
 }
 
 #[test]
 fn easgd_trains_and_drifts() {
     let r = run_strategy(
-        Strategy::Easgd {
+        Algo::Easgd {
             tau: 4,
-            alpha: 0.9 / 4.0,
+            alpha: Some(0.9 / 4.0),
         },
         4,
         10,
@@ -108,14 +108,14 @@ fn gossip_trains() {
     // Gossip arrival under heavy host load is genuinely racy; accept the
     // best of three runs before judging.
     let best = (0..3)
-        .map(|_| run_strategy(Strategy::Gossip { p: 0.5 }, 4, 10).final_accuracy)
+        .map(|_| run_strategy(Algo::GoSgd { p: 0.5 }, 4, 10).final_accuracy)
         .fold(0.0f32, f32::max);
     assert!(best > 0.3, "GoSGD accuracy {best}");
 }
 
 #[test]
 fn adpsgd_trains() {
-    let r = run_strategy(Strategy::AdPsgd, 4, 10);
+    let r = run_strategy(Algo::AdPsgd, 4, 10);
     assert!(
         r.final_accuracy > 0.35,
         "AD-PSGD accuracy {}",
@@ -125,7 +125,7 @@ fn adpsgd_trains() {
 
 #[test]
 fn single_worker_matches_sequential_sgd_shape() {
-    let r = run_strategy(Strategy::Bsp, 1, 10);
+    let r = run_strategy(Algo::Bsp, 1, 10);
     assert!(
         r.final_accuracy > 0.45,
         "1-worker accuracy {}",
@@ -138,7 +138,7 @@ fn single_worker_matches_sequential_sgd_shape() {
 fn more_workers_do_more_total_iterations_in_parallel() {
     // Not a timing assertion (CI noise); just that the partitioned work adds
     // up and wall time is recorded.
-    let r = run_strategy(Strategy::Asp, 8, 4);
+    let r = run_strategy(Algo::Asp, 8, 4);
     assert_eq!(r.total_iterations, 8 * 4 * 8);
     assert!(r.wall_time.as_nanos() > 0);
 }
@@ -157,4 +157,10 @@ fn uneven_sharding_is_rejected() {
             ..Default::default()
         },
     );
+}
+
+#[test]
+#[should_panic(expected = "AR-SGD runs only on the simulator")]
+fn ar_sgd_is_rejected() {
+    let _ = run_strategy(Algo::ArSgd, 2, 1);
 }

@@ -15,7 +15,7 @@ use std::time::Duration;
 use dtrain_data::TeacherTaskConfig;
 use dtrain_obs::ObsSink;
 use dtrain_repro::proc::{ProcConfig, ProcRun};
-use dtrain_repro::runtime::{RunPlan, Strategy};
+use dtrain_repro::runtime::{Algo, RunPlan};
 
 fn main() {
     let cfg = ProcConfig {
@@ -23,7 +23,7 @@ fn main() {
             workers: 4,
             epochs: 3,
             batch: 16,
-            strategy: Strategy::Bsp,
+            strategy: Algo::Bsp,
             seed: 5,
             ..Default::default()
         },

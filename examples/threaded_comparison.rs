@@ -9,7 +9,7 @@ use std::sync::Arc;
 use dtrain_core::prelude::*;
 use dtrain_data::{teacher_task, TeacherTaskConfig};
 use dtrain_models::default_mlp;
-use dtrain_repro::runtime::{train_threaded, Strategy, ThreadedConfig};
+use dtrain_repro::runtime::{train_threaded, Algo, ThreadedConfig};
 
 fn main() {
     let workers = std::thread::available_parallelism()
@@ -26,15 +26,15 @@ fn main() {
     let train = Arc::new(train);
 
     let strategies = [
-        Strategy::Bsp,
-        Strategy::Asp,
-        Strategy::Ssp { staleness: 3 },
-        Strategy::Easgd {
+        Algo::Bsp,
+        Algo::Asp,
+        Algo::Ssp { staleness: 3 },
+        Algo::Easgd {
             tau: 8,
-            alpha: 0.9 / workers as f32,
+            alpha: None,
         },
-        Strategy::Gossip { p: 0.1 },
-        Strategy::AdPsgd,
+        Algo::GoSgd { p: 0.1 },
+        Algo::AdPsgd,
     ];
 
     let mut table = Table::new(
