@@ -29,7 +29,7 @@
 //! treat a garbled peer as a dead peer, not die with it.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use dtrain_nn::ParamSet;
 use dtrain_tensor::Tensor;
@@ -90,9 +90,12 @@ impl From<io::Error> for CodecError {
     }
 }
 
-/// IEEE CRC-32 lookup table (polynomial `0xEDB88320`, reflected).
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 lookup tables for IEEE CRC-32 (polynomial `0xEDB88320`,
+/// reflected). `CRC_TABLES[0]` is the classic bytewise table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// sixteen lookups fold a 16-byte block into the running state at once.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -105,26 +108,61 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 };
 
-/// IEEE CRC-32 over the concatenation of `chunks` (table-driven, no
-/// external crates). Chunked so frame headers and payloads can be summed
-/// without copying them into one buffer.
+/// IEEE CRC-32 over the concatenation of `chunks` (slicing-by-16, no
+/// external crates; the values are those of the plain bytewise table
+/// loop). Chunked so frame headers and payloads can be summed without
+/// copying them into one buffer: the running state carries across chunk
+/// boundaries, whatever their lengths.
 pub fn crc32(chunks: &[&[u8]]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
     for chunk in chunks {
-        for &b in *chunk {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let (blocks, tail) = chunk.as_chunks::<16>();
+        for b in blocks {
+            let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            c = t[15][(lo & 0xFF) as usize]
+                ^ t[14][((lo >> 8) & 0xFF) as usize]
+                ^ t[13][((lo >> 16) & 0xFF) as usize]
+                ^ t[12][(lo >> 24) as usize]
+                ^ t[11][b[4] as usize]
+                ^ t[10][b[5] as usize]
+                ^ t[9][b[6] as usize]
+                ^ t[8][b[7] as usize]
+                ^ t[7][b[8] as usize]
+                ^ t[6][b[9] as usize]
+                ^ t[5][b[10] as usize]
+                ^ t[4][b[11] as usize]
+                ^ t[3][b[12] as usize]
+                ^ t[2][b[13] as usize]
+                ^ t[1][b[14] as usize]
+                ^ t[0][b[15] as usize];
+        }
+        for &b in tail {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
     }
     !c
 }
 
-/// Write one frame: header + payload + CRC trailer, then flush.
+/// Write one frame — header, payload and CRC trailer in one vectored
+/// write, so a large frame leaves as one send rather than three — then
+/// flush.
 pub fn write_frame<W: Write>(
     w: &mut W,
     msg_type: u8,
@@ -137,10 +175,21 @@ pub fn write_frame<W: Write>(
     header[1] = msg_type;
     header[2..6].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[6..10].copy_from_slice(&seq.to_le_bytes());
-    let crc = crc32(&[&header[1..10], payload]);
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    w.write_all(&crc.to_le_bytes())?;
+    let crc = crc32(&[&header[1..10], payload]).to_le_bytes();
+    let mut slices = [
+        IoSlice::new(&header),
+        IoSlice::new(payload),
+        IoSlice::new(&crc),
+    ];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -209,8 +258,15 @@ impl Enc {
     }
 
     /// Parameter/gradient set: `u32 ntensors`, then per tensor
-    /// `u8 rank, rank x u32 dims, product x f32 data`.
+    /// `u8 rank, rank x u32 dims, product x f32 data`. The exact encoded
+    /// size is reserved up front and each tensor's floats are written in
+    /// one pass, so a large set never regrows the buffer.
     pub fn params(&mut self, p: &ParamSet) -> &mut Self {
+        let size: usize =
+            p.0.iter()
+                .map(|t| 1 + 4 * t.shape().len() + 4 * t.data().len())
+                .sum();
+        self.buf.reserve(4 + size);
         self.u32(p.0.len() as u32);
         for t in &p.0 {
             let shape = t.shape();
@@ -218,8 +274,10 @@ impl Enc {
             for &d in shape {
                 self.u32(d as u32);
             }
-            for &v in t.data() {
-                self.f32(v);
+            let start = self.buf.len();
+            self.buf.resize(start + 4 * t.data().len(), 0);
+            for (dst, v) in self.buf[start..].chunks_exact_mut(4).zip(t.data()) {
+                dst.copy_from_slice(&v.to_le_bytes());
             }
         }
         self
@@ -312,13 +370,17 @@ impl<'a> Dec<'a> {
                     .ok_or(CodecError::Malformed("dim overflow"))?;
                 shape.push(d);
             }
-            if len > self.buf.len().saturating_sub(self.pos) / 4 + 1 {
-                return Err(CodecError::Malformed("tensor data exceeds payload"));
-            }
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                data.push(self.f32()?);
-            }
+            // One bounds-checked take for the whole tensor: a length the
+            // payload cannot hold errors before anything is allocated.
+            // `checked_mul`, because release builds do not trap overflow.
+            let nbytes = len
+                .checked_mul(4)
+                .ok_or(CodecError::Malformed("tensor data exceeds payload"))?;
+            let data: Vec<f32> = self
+                .take(nbytes)?
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .collect();
             tensors.push(Tensor::from_vec(&shape, data));
         }
         Ok(ParamSet(tensors))

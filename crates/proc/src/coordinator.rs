@@ -935,6 +935,7 @@ fn serve_connection(coord: &Arc<Coord>, w: usize, stream: TcpStream, generation:
         };
         if let Some(reply) = reply {
             let (rty, rpayload) = reply.encode();
+            let rpayload = Arc::new(rpayload);
             // Cache BEFORE writing: if the write (or the frame in flight)
             // is lost, the resumed connection replays from this cache. If
             // a resume superseded this socket while dispatch was parked,
@@ -945,7 +946,7 @@ fn serve_connection(coord: &Arc<Coord>, w: usize, stream: TcpStream, generation:
                 let mut sess = coord.sessions.lock();
                 let slot = &mut sess[w];
                 if slot.s.last_seq == seq {
-                    slot.s.cache_reply(rty, rpayload.clone());
+                    slot.s.cache_reply(rty, Arc::clone(&rpayload));
                 }
                 slot.s.generation != generation
             };

@@ -13,6 +13,8 @@
 //! Kept free of sockets, clocks and threads so the idempotency guarantees
 //! can be property-tested directly (see `tests/session_props.rs`).
 
+use std::sync::Arc;
+
 /// One rank's session, owned by the coordinator across that rank's
 /// connections (the TCP connection may die and resume; the session does
 /// not).
@@ -26,8 +28,10 @@ pub struct Session {
     /// Highest request seq accepted for dispatch.
     pub last_seq: u32,
     /// Encoded reply `(type, payload)` for `last_seq`; `None` while that
-    /// request is still being dispatched.
-    pub cached: Option<(u8, Vec<u8>)>,
+    /// request is still being dispatched. The payload is shared, not
+    /// copied: the handler that produced it writes the same bytes, and a
+    /// duplicate or resume replays them by bumping a reference count.
+    pub cached: Option<(u8, Arc<Vec<u8>>)>,
     /// The rank's outstanding AD-PSGD exchange token. Session-scoped (not
     /// connection-scoped) so an `ExchangeAwait` issued after a reconnect
     /// still finds the token its `ExchangeRequest` registered.
@@ -45,7 +49,7 @@ pub enum Inbound {
     /// Duplicate of the last request. `Some` carries the cached reply to
     /// resend; `None` means the original dispatch is still running on
     /// another (stale) handler thread — wait for it to cache, then resend.
-    Duplicate(Option<(u8, Vec<u8>)>),
+    Duplicate(Option<(u8, Arc<Vec<u8>>)>),
     /// Older than the last dispatched request: its reply was already
     /// consumed, drop the frame silently.
     Stale,
@@ -57,7 +61,7 @@ pub enum ResumeDecision {
     /// The awaited request was never received: ask the worker to resend it.
     RequestResend,
     /// The awaited request was served; replay the cached reply.
-    ResendCached(u8, Vec<u8>),
+    ResendCached(u8, Arc<Vec<u8>>),
     /// The awaited request is still being dispatched; wait until its reply
     /// is cached, then replay it.
     AwaitInFlight,
@@ -98,7 +102,7 @@ impl Session {
 
     /// Record the encoded reply for the request most recently accepted by
     /// [`Self::classify`].
-    pub fn cache_reply(&mut self, ty: u8, payload: Vec<u8>) {
+    pub fn cache_reply(&mut self, ty: u8, payload: Arc<Vec<u8>>) {
         self.cached = Some((ty, payload));
     }
 
@@ -109,7 +113,7 @@ impl Session {
             ResumeDecision::RequestResend
         } else if last_seq == self.last_seq {
             match &self.cached {
-                Some((ty, payload)) => ResumeDecision::ResendCached(*ty, payload.clone()),
+                Some((ty, payload)) => ResumeDecision::ResendCached(*ty, Arc::clone(payload)),
                 None => ResumeDecision::AwaitInFlight,
             }
         } else {
@@ -128,8 +132,11 @@ mod tests {
         assert_eq!(s.classify(1), Inbound::Fresh);
         // Duplicate before the reply exists: wait, don't re-dispatch.
         assert_eq!(s.classify(1), Inbound::Duplicate(None));
-        s.cache_reply(11, vec![1, 2]);
-        assert_eq!(s.classify(1), Inbound::Duplicate(Some((11, vec![1, 2]))));
+        s.cache_reply(11, Arc::new(vec![1, 2]));
+        assert_eq!(
+            s.classify(1),
+            Inbound::Duplicate(Some((11, Arc::new(vec![1, 2]))))
+        );
         assert_eq!(s.classify(2), Inbound::Fresh);
         assert_eq!(s.cached, None, "fresh request invalidates the cache");
         assert_eq!(s.classify(1), Inbound::Stale);
@@ -144,8 +151,11 @@ mod tests {
         assert_eq!(s.classify(1), Inbound::Fresh);
         assert_eq!(s.on_resume(1), ResumeDecision::AwaitInFlight);
         // Reply produced but lost on the way back.
-        s.cache_reply(8, vec![9]);
-        assert_eq!(s.on_resume(1), ResumeDecision::ResendCached(8, vec![9]));
+        s.cache_reply(8, Arc::new(vec![9]));
+        assert_eq!(
+            s.on_resume(1),
+            ResumeDecision::ResendCached(8, Arc::new(vec![9]))
+        );
         // A regressing worker is refused.
         assert_eq!(s.classify(2), Inbound::Fresh);
         assert_eq!(s.on_resume(1), ResumeDecision::Refuse);
@@ -156,7 +166,7 @@ mod tests {
         let mut s = Session::default();
         assert_eq!(s.next_generation(), 1);
         s.classify(5);
-        s.cache_reply(3, vec![]);
+        s.cache_reply(3, Arc::new(vec![]));
         s.cur_token = Some(7);
         s.reset();
         assert_eq!(s.next_generation(), 2);

@@ -1,6 +1,7 @@
-//! Wire-format tests: frame + payload round trips under arbitrary sizes,
-//! and malformed frames (truncated prefix, oversized length, bad version)
-//! that must come back as errors, never panics.
+//! Wire-format tests: the CRC-32 values themselves, frame + payload round
+//! trips under arbitrary sizes, and malformed frames (truncated prefix,
+//! oversized length, bad version) that must come back as errors, never
+//! panics.
 
 use std::io::Cursor;
 
@@ -8,12 +9,65 @@ use dtrain_nn::ParamSet;
 use dtrain_proc::codec::{
     read_frame, write_frame, CodecError, Dec, Enc, MAX_PAYLOAD, PROTO_VERSION,
 };
+use dtrain_proc::crc32;
 use dtrain_proc::proto::Msg;
 use dtrain_tensor::Tensor;
 use proptest::prelude::*;
 
+/// Reference IEEE CRC-32: one table lookup per byte. Both ends of a
+/// connection share `crc32`, so a wrong but symmetric checksum would pass
+/// every round trip; this oracle pins the values instead.
+fn crc32_bytewise(data: &[u8]) -> u32 {
+    let mut table = [0u32; 256];
+    for (i, slot) in table.iter_mut().enumerate() {
+        let mut c = i as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+        *slot = c;
+    }
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+#[test]
+fn crc32_known_answer() {
+    assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
+    assert_eq!(crc32(&[]), 0);
+    assert_eq!(crc32(&[b"1234", b"", b"56789"]), 0xCBF4_3926);
+    // Two full 16-byte blocks plus a 4-byte tail.
+    assert_eq!(crc32(&[b"123456789".repeat(4).as_slice()]), 0x3E29_169C);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `crc32` agrees with the bytewise oracle for any length (including
+    /// non-multiples of the 16-byte block) and any split of the input into
+    /// 1-4 chunks: the running state must carry across chunk boundaries.
+    #[test]
+    fn crc32_matches_bytewise_reference(
+        data in prop::collection::vec(0u8..=255, 0..4096),
+        cuts in prop::collection::vec(0usize..=4096, 0..4),
+    ) {
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+        cuts.sort_unstable();
+        let mut chunks = Vec::new();
+        let mut start = 0;
+        for c in cuts {
+            chunks.push(&data[start..c]);
+            start = c;
+        }
+        chunks.push(&data[start..]);
+        prop_assert_eq!(crc32(&chunks), crc32_bytewise(&data));
+    }
 
     /// Any (type, seq, payload) round-trips through a frame byte-exactly.
     #[test]
@@ -78,6 +132,24 @@ proptest! {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+    }
+
+    /// Arbitrary f32 bit patterns — NaN payloads, -0.0, subnormals, ±inf —
+    /// survive encode/decode with their bits unchanged.
+    #[test]
+    fn params_round_trip_any_bit_pattern(
+        bits in prop::collection::vec(0u32..=u32::MAX, 1..300),
+    ) {
+        let data: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let p = ParamSet(vec![Tensor::from_vec(&[data.len()], data)]);
+        let mut e = Enc::new();
+        e.params(&p);
+        let bytes = e.into_bytes();
+        let mut d = Dec::new(&bytes);
+        let back = d.params().expect("decode");
+        d.done().expect("fully consumed");
+        let got: Vec<u32> = back.0[0].data().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(got, bits);
     }
 
     /// Truncating a valid frame anywhere must produce an error, not a
@@ -151,6 +223,18 @@ fn malformed_payloads_error_not_panic() {
     e.u32(1).u8(2).u32(u32::MAX).u32(u32::MAX);
     let bytes = e.into_bytes();
     assert!(Dec::new(&bytes).params().is_err());
+
+    // Dims claim exactly one float more than the payload holds.
+    let mut e = Enc::new();
+    e.u32(1).u8(1).u32(5);
+    for v in 0..4 {
+        e.f32(v as f32);
+    }
+    let bytes = e.into_bytes();
+    assert!(matches!(
+        Dec::new(&bytes).params(),
+        Err(CodecError::Malformed(_))
+    ));
 
     // Trailing garbage after a valid message is rejected.
     let (ty, mut payload) = Msg::Heartbeat { round: 9 }.encode();

@@ -4,12 +4,35 @@
 //! cached replies, and a panic-free resume path. The socket-level version
 //! of the exactly-once claim lives in `proc_chaos.rs`.
 
+use std::sync::Arc;
+
 use dtrain_proc::{Inbound, ResumeDecision, Session};
 use proptest::prelude::*;
 
 /// A distinguishable encoded reply for `seq`, so replay mixups surface.
-fn reply_for(seq: u32) -> (u8, Vec<u8>) {
-    ((seq % 251) as u8, seq.to_le_bytes().to_vec())
+fn reply_for(seq: u32) -> (u8, Arc<Vec<u8>>) {
+    ((seq % 251) as u8, Arc::new(seq.to_le_bytes().to_vec()))
+}
+
+/// A duplicate replay and a resume replay both hand back the very bytes
+/// `cache_reply` stored: equal contents, and the same allocation (the
+/// replay shares the cached payload instead of copying it).
+#[test]
+fn replays_return_the_cached_bytes() {
+    let mut s = Session::default();
+    assert_eq!(s.classify(3), Inbound::Fresh);
+    let stored = Arc::new(vec![0xA5u8; 4096]);
+    s.cache_reply(9, Arc::clone(&stored));
+    let Inbound::Duplicate(Some((ty, dup))) = s.classify(3) else {
+        panic!("a duplicate after the reply must replay it");
+    };
+    assert_eq!((ty, &dup), (9, &stored));
+    assert!(Arc::ptr_eq(&dup, &stored));
+    let ResumeDecision::ResendCached(ty, resent) = s.on_resume(3) else {
+        panic!("a resume after the reply must replay it");
+    };
+    assert_eq!((ty, &resent), (9, &stored));
+    assert!(Arc::ptr_eq(&resent, &stored));
 }
 
 proptest! {
